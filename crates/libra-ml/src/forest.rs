@@ -4,9 +4,9 @@
 //! models, we opt for Random Forest"). Two classifiers (CPU peak, memory
 //! peak) and one regressor (execution time) per function.
 //!
-//! Tree training is embarrassingly parallel; `fit` fans the trees out over
-//! crossbeam scoped threads (data-race-free by construction: each thread
-//! reads shared `&[Vec<f64>]` slices and writes its own tree slot).
+//! `fit` grows the trees one after another on the calling thread. Each
+//! tree draws its bootstrap sample as row indices into the shared dataset
+//! ([`DecisionTree::fit_rows`]), so no feature row is copied.
 
 use crate::tree::{DecisionTree, Task, TreeParams};
 use rand::{Rng, RngCore, SeedableRng};
@@ -61,49 +61,16 @@ impl RandomForest {
         let n = x.len();
         let sample_n = ((n as f64 * params.bootstrap_frac).round() as usize).max(1);
 
-        // Deterministic per-tree seeds derived up front so the parallel
-        // schedule cannot affect the result.
+        // One seed per tree, drawn in tree order; each tree's RNG draws its
+        // bootstrap rows, then drives its feature subsampling.
         let mut seeder = ChaCha8Rng::seed_from_u64(params.seed);
-        let seeds: Vec<u64> = (0..params.n_trees).map(|_| seeder.next_u64()).collect();
-
-        let fit_one = |seed: u64| -> DecisionTree {
-            let mut rng = ChaCha8Rng::seed_from_u64(seed);
-            let mut bx = Vec::with_capacity(sample_n);
-            let mut by = Vec::with_capacity(sample_n);
-            for _ in 0..sample_n {
-                let i = rng.gen_range(0..n);
-                bx.push(x[i].clone());
-                by.push(y[i]);
-            }
-            DecisionTree::fit(&bx, &by, task, tree_params, &mut rng)
-        };
-
-        // Parallel fan-out for larger forests; sequential below the
-        // threshold where thread spawn overhead dominates.
-        let trees: Vec<DecisionTree> = if params.n_trees >= 16 && n >= 64 {
-            let threads = std::thread::available_parallelism().map(|p| p.get()).unwrap_or(4);
-            let chunk = params.n_trees.div_ceil(threads);
-            let mut out: Vec<Option<DecisionTree>> = vec![None; params.n_trees];
-            let scope_ok = crossbeam::scope(|s| {
-                for (slot_chunk, seed_chunk) in out.chunks_mut(chunk).zip(seeds.chunks(chunk)) {
-                    s.spawn(move |_| {
-                        for (slot, &seed) in slot_chunk.iter_mut().zip(seed_chunk) {
-                            *slot = Some(fit_one(seed));
-                        }
-                    });
-                }
+        let trees = (0..params.n_trees)
+            .map(|_| {
+                let mut rng = ChaCha8Rng::seed_from_u64(seeder.next_u64());
+                let rows: Vec<usize> = (0..sample_n).map(|_| rng.gen_range(0..n)).collect();
+                DecisionTree::fit_rows(x, y, &rows, task, tree_params, &mut rng)
             })
-            .is_ok();
-            debug_assert!(scope_ok, "forest training thread panicked");
-            // A panicked worker leaves holes; refit those trees here rather
-            // than aborting the whole control plane mid-run.
-            out.into_iter()
-                .zip(&seeds)
-                .map(|(t, &seed)| t.unwrap_or_else(|| fit_one(seed)))
-                .collect()
-        } else {
-            seeds.iter().map(|&s| fit_one(s)).collect()
-        };
+            .collect();
 
         RandomForest { trees, task }
     }
@@ -194,19 +161,13 @@ mod tests {
     }
 
     #[test]
-    fn small_forest_trains_sequentially() {
-        let (x, y) = step_data(30);
-        let p = ForestParams { n_trees: 4, ..Default::default() };
-        let f = RandomForest::fit(&x, &y, Task::Classification { n_classes: 4 }, p);
-        assert_eq!(f.len(), 4);
-        assert!(!f.is_empty());
-    }
-
-    #[test]
-    fn parallel_path_matches_param_count() {
-        let (x, y) = step_data(128);
-        let p = ForestParams { n_trees: 32, ..Default::default() };
-        let f = RandomForest::fit(&x, &y, Task::Regression, p);
-        assert_eq!(f.len(), 32);
+    fn trains_one_tree_per_param() {
+        for (rows, n_trees) in [(30, 4), (128, 32)] {
+            let (x, y) = step_data(rows);
+            let p = ForestParams { n_trees, ..Default::default() };
+            let f = RandomForest::fit(&x, &y, Task::Regression, p);
+            assert_eq!(f.len(), n_trees);
+            assert!(!f.is_empty());
+        }
     }
 }

@@ -17,8 +17,8 @@
 //! * [`dataset`], [`scaler`], [`metrics`] — plumbing (7:3 splits, feature
 //!   standardization, accuracy and R²).
 //!
-//! All models are deterministic given their seeds; forest training fans out
-//! across crossbeam scoped threads.
+//! All models are deterministic given their seeds and train on the calling
+//! thread.
 
 #![warn(missing_docs)]
 
