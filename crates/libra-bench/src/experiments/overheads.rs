@@ -54,7 +54,20 @@ pub fn run() {
         );
     }
     let online = t0.elapsed() / n_obs as u32;
-    compare("online update", "< 1 ms", format!("{:.4} ms", online.as_secs_f64() * 1e3));
+    compare(
+        "online update (histogram insert)",
+        "< 1 ms",
+        format!("{:.4} ms", online.as_secs_f64() * 1e3),
+    );
+
+    // Online update on the ML path: the completion that triggers a forest
+    // refit. `retrain_every` is set so the first refit sees exactly `rows`
+    // rows (100 pilot rows plus the observations).
+    let refit_ms: Vec<String> = [250usize, 1_000, 2_000]
+        .iter()
+        .map(|&rows| format!("{:.1} ms", ml_refit(&suite, rows).as_secs_f64() * 1e3))
+        .collect();
+    compare("online ML refit at 250 / 1,000 / 2,000 rows", "< 1 ms", refit_ms.join(" / "));
 
     header("Harvest pool operation costs (native)");
     let mut pool = HarvestResourcePool::new();
@@ -110,4 +123,31 @@ pub fn run() {
         "< 3% CPU overhead (§8.10)",
         format!("{per_inv:.1} pool ops/invocation at ~µs each"),
     );
+}
+
+/// Wall time of the one `observe` call that refits DH's forests over `rows`
+/// history rows.
+fn ml_refit(suite: &[libra_sim::function::FunctionSpec], rows: usize) -> std::time::Duration {
+    let cfg = ProfilerConfig::default();
+    let pilots = cfg.duplicate_points;
+    let cfg = ProfilerConfig { retrain_every: rows - pilots, ..cfg };
+    let f = AppKind::Dh.id().idx();
+    let mut p = Profiler::new(10, cfg, ModelChoice::MlOnly);
+    p.train(f, &suite[f], InputMeta::new(1000, 1));
+    let (lo, hi) = AppKind::Dh.size_range();
+    let mut elapsed = std::time::Duration::ZERO;
+    for i in 0..(rows - pilots) as u64 {
+        let input = InputMeta::new(lo + (i * 7_919) % (hi - lo), i);
+        let d = suite[f].model.demand(&input);
+        let actuals = libra_sim::invocation::Actuals {
+            cpu_peak_millis: d.cpu_peak_millis,
+            mem_peak_mb: d.mem_peak_mb,
+            exec_duration: d.base_duration,
+            input_size: input.size,
+        };
+        let t0 = Instant::now();
+        p.observe(f, input, &actuals);
+        elapsed = t0.elapsed();
+    }
+    elapsed
 }
