@@ -61,4 +61,13 @@ LIBRA_REPS=1 LIBRA_THREADS=4 LIBRA_RESULTS_DIR="$KA_B" \
 cmp "$KA_A/exp_keepalive.csv" "$KA_B/exp_keepalive.csv"
 rm -rf "$KA_A" "$KA_B"
 
+echo "==> exp_fig06 reproduces the committed results/fig06*.csv"
+# The Fig 6 CDFs are deterministic; a diff means the simulation drifted from
+# what results/ records (regenerate deliberately, never to get green).
+FIG06_OUT="$(mktemp -d)"
+LIBRA_RESULTS_DIR="$FIG06_OUT" cargo run --release -q -p libra-bench --bin exp_fig06 > /dev/null
+for f in results/fig06*.csv; do cmp "$f" "$FIG06_OUT/$(basename "$f")"; done
+[ "$(ls "$FIG06_OUT" | wc -l)" -eq "$(ls results/fig06*.csv | wc -l)" ]
+rm -rf "$FIG06_OUT"
+
 echo "verify: all green"
