@@ -2,6 +2,8 @@
 //! claims, measured natively on this machine.
 
 use crate::*;
+use libra_core::coverage::demand_coverage;
+use libra_core::pool::PoolEntryStatus;
 use libra_core::profiler::{ModelChoice, Profiler, ProfilerConfig};
 use libra_core::{HarvestResourcePool, LibraConfig, LibraPlatform};
 use libra_sim::demand::InputMeta;
@@ -9,7 +11,7 @@ use libra_sim::engine::SimConfig;
 use libra_sim::ids::InvocationId;
 use libra_sim::platform::Platform as _;
 use libra_sim::resources::ResourceVec;
-use libra_sim::time::SimTime;
+use libra_sim::time::{SimDuration, SimTime};
 use libra_workloads::apps::AppKind;
 use libra_workloads::trace::TraceGen;
 use libra_workloads::{sebs_suite, testbeds, ALL_APPS};
@@ -48,7 +50,7 @@ pub fn run() {
             &libra_sim::invocation::Actuals {
                 cpu_peak_millis: 3_000,
                 mem_peak_mb: 700,
-                exec_duration: libra_sim::time::SimDuration::from_secs(5),
+                exec_duration: SimDuration::from_secs(5),
                 input_size: 5_000,
             },
         );
@@ -94,6 +96,33 @@ pub fn run() {
         "pool put+get cost",
         "negligible (§8.10)",
         format!("{:.2} µs/op", per_op.as_secs_f64() * 1e6),
+    );
+
+    // Demand coverage (§6.2) runs once per candidate node on every
+    // accelerable scheduling decision.
+    let snapshot: Vec<PoolEntryStatus> = (0..256u64)
+        .map(|i| PoolEntryStatus {
+            cpu_idle_millis: 300 + (i % 5) * 250,
+            mem_idle_mb: 64 + (i % 3) * 128,
+            expiry: SimTime::from_secs(5 + (i * 7) % 60),
+        })
+        .collect();
+    let n_cov = 10_000u32;
+    let t0 = Instant::now();
+    for _ in 0..n_cov {
+        std::hint::black_box(demand_coverage(
+            std::hint::black_box(&snapshot),
+            ResourceVec::from_cores_mb(4, 1024),
+            SimTime::from_secs(3),
+            SimDuration::from_secs(20),
+            0.9,
+        ));
+    }
+    let per_call = t0.elapsed() / n_cov;
+    compare(
+        "demand coverage, 256-entry snapshot",
+        "< 1 ms per decision",
+        format!("{:.2} µs/call", per_call.as_secs_f64() * 1e6),
     );
 
     header("§8.10: component bookkeeping volume (multi-node workload)");

@@ -1,10 +1,12 @@
 //! # libra-bench — the experiment harness
 //!
-//! One binary per table/figure of the paper (see DESIGN.md §3 for the
-//! index); this library holds the shared machinery: platform constructors,
-//! run drivers, and plain-text table/CDF reporting.
+//! One module per table/figure of the paper (see DESIGN.md §3 for the
+//! index), all run through the `exp` binary (`exp <name>… | all`); this
+//! library holds the shared machinery: run drivers, parallel sweeps, and
+//! plain-text table/CDF reporting. Platforms come from
+//! [`libra_baselines::PlatformKind`], re-exported here.
 //!
-//! Every binary prints the paper's expected shape next to the measured
+//! Every experiment prints the paper's expected shape next to the measured
 //! numbers and writes CSV series under `results/` for external plotting.
 
 #![warn(missing_docs)]
@@ -12,8 +14,7 @@
 pub mod experiments;
 pub mod plot;
 
-use libra_baselines::{Freyr, OpenWhiskDefault};
-use libra_core::{LibraConfig, LibraPlatform, ModelChoice};
+pub use libra_baselines::PlatformKind;
 use libra_sim::engine::{SimConfig, Simulation};
 use libra_sim::function::FunctionSpec;
 use libra_sim::metrics::{mean_slice, percentiles, RunResult};
@@ -24,73 +25,6 @@ use rayon::prelude::*;
 use std::io::Write as _;
 use std::path::PathBuf;
 use std::sync::OnceLock;
-
-/// The six §8.3 platforms plus the Fig 13(a) model ablations.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum PlatformKind {
-    /// OpenWhisk default.
-    Default,
-    /// The Freyr stand-in.
-    Freyr,
-    /// Full Libra.
-    Libra,
-    /// Libra without the safeguard.
-    LibraNs,
-    /// Libra without the profiler (moving window).
-    LibraNp,
-    /// Libra without either.
-    LibraNsp,
-    /// Libra with histogram models only.
-    LibraHist,
-    /// Libra with ML models only.
-    LibraMl,
-}
-
-impl PlatformKind {
-    /// Display name matching the paper's legends.
-    pub fn name(&self) -> &'static str {
-        match self {
-            PlatformKind::Default => "Default",
-            PlatformKind::Freyr => "Freyr",
-            PlatformKind::Libra => "Libra",
-            PlatformKind::LibraNs => "Libra-NS",
-            PlatformKind::LibraNp => "Libra-NP",
-            PlatformKind::LibraNsp => "Libra-NSP",
-            PlatformKind::LibraHist => "Hist",
-            PlatformKind::LibraMl => "ML",
-        }
-    }
-
-    /// The six platforms of §8.3.
-    pub const MAIN_SIX: [PlatformKind; 6] = [
-        PlatformKind::Default,
-        PlatformKind::Freyr,
-        PlatformKind::Libra,
-        PlatformKind::LibraNs,
-        PlatformKind::LibraNp,
-        PlatformKind::LibraNsp,
-    ];
-
-    /// Build the platform.
-    pub fn build(&self) -> Box<dyn Platform> {
-        match self {
-            PlatformKind::Default => Box::new(OpenWhiskDefault),
-            PlatformKind::Freyr => Box::new(Freyr::new()),
-            PlatformKind::Libra => Box::new(LibraPlatform::new(LibraConfig::libra())),
-            PlatformKind::LibraNs => Box::new(LibraPlatform::new(LibraConfig::ns())),
-            PlatformKind::LibraNp => Box::new(LibraPlatform::new(LibraConfig::np())),
-            PlatformKind::LibraNsp => Box::new(LibraPlatform::new(LibraConfig::nsp())),
-            PlatformKind::LibraHist => Box::new(LibraPlatform::new(LibraConfig {
-                model_choice: ModelChoice::HistogramOnly,
-                ..LibraConfig::libra()
-            })),
-            PlatformKind::LibraMl => Box::new(LibraPlatform::new(LibraConfig {
-                model_choice: ModelChoice::MlOnly,
-                ..LibraConfig::libra()
-            })),
-        }
-    }
-}
 
 /// Result of one platform run, with the platform's self-report attached.
 pub struct PlatformRun {
@@ -237,15 +171,6 @@ pub fn scale() -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn platform_kinds_build() {
-        for k in PlatformKind::MAIN_SIX {
-            let p = k.build();
-            assert!(!p.name().is_empty());
-        }
-        assert_eq!(PlatformKind::Libra.name(), "Libra");
-    }
 
     #[test]
     fn mean_of_handles_edges() {

@@ -7,8 +7,8 @@
 //! 0,4,1000,42
 //! ```
 //!
-//! Hand-rolled on purpose: the workspace's dependency policy admits `serde`
-//! but no format crate, and the schema is two fixed record types.
+//! Hand-rolled on purpose: the workspace builds offline with no
+//! serialization or format crate, and the schema is two fixed record types.
 
 use libra_sim::demand::InputMeta;
 use libra_sim::ids::FunctionId;

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! libra trace  --kind single|multi:<rpm>|poisson:<n>:<rpm> [--seed S] [--out FILE]
-//! libra run    --platform default|freyr|libra|ns|np|nsp
+//! libra run    --platform default|freyr|libra|ns|np|nsp|hist|ml
 //!              [--cluster single|multi|jetstream:<n>] [--shards K]
 //!              [--trace FILE | --kind ...] [--seed S] [--out FILE]
 //!              [--trace-out FILE.html]
@@ -12,9 +12,8 @@
 mod csvio;
 mod opts;
 
-use libra_baselines::{Freyr, OpenWhiskDefault};
+use libra_baselines::PlatformKind;
 use libra_core::keepalive::{PolicyKind, WithKeepAlive};
-use libra_core::{LibraConfig, LibraPlatform};
 use libra_sim::engine::{SimConfig, Simulation};
 use libra_sim::metrics::RunResult;
 use libra_sim::platform::Platform;
@@ -71,19 +70,10 @@ fn make_trace(opts: &Opts) -> Result<Trace, String> {
     })
 }
 
-fn build_platform(name: &str, keepalive: PolicyKind) -> Result<Box<dyn Platform>, String> {
-    let inner: Box<dyn Platform> = match name {
-        "default" => Box::new(OpenWhiskDefault),
-        "freyr" => Box::new(Freyr::new()),
-        "libra" => Box::new(LibraPlatform::new(LibraConfig::libra())),
-        "ns" => Box::new(LibraPlatform::new(LibraConfig::ns())),
-        "np" => Box::new(LibraPlatform::new(LibraConfig::np())),
-        "nsp" => Box::new(LibraPlatform::new(LibraConfig::nsp())),
-        other => return Err(format!("unknown platform `{other}`")),
-    };
+fn build_platform(kind: PlatformKind, keepalive: PolicyKind) -> Box<dyn Platform> {
     // The default fixed-60 policy is observationally identical to the bare
     // engine, so wrapping unconditionally is safe (and pinned by tests).
-    Ok(Box::new(WithKeepAlive::new(inner, keepalive.build())))
+    Box::new(WithKeepAlive::new(kind.build(), keepalive.build()))
 }
 
 fn cluster(opts: &Opts) -> Vec<libra_sim::resources::ResourceVec> {
@@ -121,7 +111,7 @@ fn cmd_trace(opts: &Opts) -> Result<(), String> {
 
 fn cmd_run(opts: &Opts) -> Result<(), String> {
     let trace = make_trace(opts)?;
-    let mut platform = build_platform(&opts.platform, opts.keepalive)?;
+    let mut platform = build_platform(opts.platform, opts.keepalive);
     let result = execute(opts, platform.as_mut(), &trace);
     summarize(&result);
     if let Some(path) = &opts.out {
@@ -146,7 +136,7 @@ fn cmd_compare(opts: &Opts) -> Result<(), String> {
         "{:<10} {:>9} {:>9} {:>12} {:>9} {:>9} {:>8}",
         "platform", "p50 (s)", "p99 (s)", "completion", "cpu util", "worst", "accel"
     );
-    for name in ["default", "freyr", "libra", "ns", "np", "nsp"] {
+    for kind in PlatformKind::MAIN_SIX {
         let mut p50 = 0.0;
         let mut p99 = 0.0;
         let mut compl = 0.0;
@@ -156,7 +146,7 @@ fn cmd_compare(opts: &Opts) -> Result<(), String> {
         for rep in 0..opts.reps {
             let rep_opts = Opts { seed: opts.seed + rep, ..opts.clone() };
             let trace = make_trace(&rep_opts)?;
-            let mut platform = build_platform(name, opts.keepalive)?;
+            let mut platform = build_platform(kind, opts.keepalive);
             let r = execute(&rep_opts, platform.as_mut(), &trace);
             let ps = r.latency_percentiles(&[50.0, 99.0]);
             p50 += ps[0];
@@ -169,7 +159,7 @@ fn cmd_compare(opts: &Opts) -> Result<(), String> {
         let n = opts.reps as f64;
         println!(
             "{:<10} {:>9.1} {:>9.1} {:>11.1}s {:>8.1}% {:>9.2} {:>8}",
-            name,
+            kind.slug(),
             p50 / n,
             p99 / n,
             compl / n,

@@ -1,6 +1,7 @@
 //! Hand-rolled option parsing (the workspace's dependency policy admits no
 //! argument-parsing crate; the grammar is small and fixed).
 
+use libra_baselines::PlatformKind;
 use libra_core::keepalive::PolicyKind;
 
 /// Usage text for `libra help` and errors.
@@ -9,7 +10,7 @@ libra — the Libra (HPDC '23) reproduction CLI
 
 USAGE:
   libra trace   --kind single|multi:<rpm>|poisson:<n>:<rpm> [--seed S] [--out FILE]
-  libra run     --platform default|freyr|libra|ns|np|nsp
+  libra run     --platform default|freyr|libra|ns|np|nsp|hist|ml
                 [--cluster single|multi|jetstream:<n>] [--shards K]
                 [--keepalive fixed[:secs]|histogram|concurrency]
                 [--trace FILE | --kind ...] [--seed S] [--out FILE]
@@ -56,7 +57,7 @@ pub enum ClusterSpec {
 #[derive(Clone, Debug)]
 pub struct Opts {
     /// `--platform`
-    pub platform: String,
+    pub platform: PlatformKind,
     /// `--cluster`
     pub cluster: ClusterSpec,
     /// `--shards`
@@ -80,7 +81,7 @@ pub struct Opts {
 impl Default for Opts {
     fn default() -> Self {
         Opts {
-            platform: "libra".into(),
+            platform: PlatformKind::Libra,
             cluster: ClusterSpec::Single,
             shards: 1,
             kind: TraceKind::Single,
@@ -103,7 +104,7 @@ impl Opts {
             let mut value =
                 || -> Result<&String, String> { it.next().ok_or(format!("{flag} needs a value")) };
             match flag.as_str() {
-                "--platform" => o.platform = value()?.clone(),
+                "--platform" => o.platform = PlatformKind::parse(value()?)?,
                 "--seed" => o.seed = value()?.parse().map_err(|e| format!("--seed: {e}"))?,
                 "--reps" => o.reps = value()?.parse().map_err(|e| format!("--reps: {e}"))?,
                 "--shards" => o.shards = value()?.parse().map_err(|e| format!("--shards: {e}"))?,
@@ -158,7 +159,7 @@ mod tests {
     #[test]
     fn defaults_apply() {
         let o = Opts::parse(&[]).unwrap();
-        assert_eq!(o.platform, "libra");
+        assert_eq!(o.platform, PlatformKind::Libra);
         assert_eq!(o.kind, TraceKind::Single);
         assert_eq!(o.cluster, ClusterSpec::Single);
     }
@@ -169,7 +170,7 @@ mod tests {
             "--platform freyr --cluster jetstream:50 --shards 4 --kind poisson:100:60 --seed 9 --out x.csv",
         ))
         .unwrap();
-        assert_eq!(o.platform, "freyr");
+        assert_eq!(o.platform, PlatformKind::Freyr);
         assert_eq!(o.cluster, ClusterSpec::Jetstream(50));
         assert_eq!(o.shards, 4);
         assert_eq!(o.kind, TraceKind::Poisson { n: 100, rpm: 60.0 });
@@ -199,6 +200,21 @@ mod tests {
         assert!(Opts::parse(&args("--shards 0")).is_err());
         assert!(Opts::parse(&args("--cluster jetstream:x")).is_err());
         assert!(Opts::parse(&args("--keepalive bogus")).is_err());
+    }
+
+    #[test]
+    fn usage_lists_every_platform_slug() {
+        let slugs: Vec<&str> = PlatformKind::ALL.iter().map(PlatformKind::slug).collect();
+        assert!(USAGE.contains(&format!("--platform {}\n", slugs.join("|"))));
+    }
+
+    #[test]
+    fn bogus_platform_fails_naming_the_valid_slugs() {
+        let err = Opts::parse(&args("--platform bogus")).unwrap_err();
+        assert!(err.contains("`bogus`"), "{err}");
+        for k in PlatformKind::ALL {
+            assert!(err.contains(k.slug()), "{err} omits {}", k.slug());
+        }
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! request takes the max-coverage node in arrival order, consuming pool
 //! volume as it goes) and the batch-optimal assignment (exhaustive search
 //! over node choices, same consumption model), so the optimality gap —
-//! and the cost of closing it — can be quantified (`exp_ablations`).
+//! and the cost of closing it — can be quantified (`exp ablations`).
 
 use crate::coverage::demand_coverage;
 use crate::pool::{PoolEntryStatus, PoolSnapshot};

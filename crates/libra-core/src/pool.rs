@@ -354,7 +354,7 @@ impl HarvestResourcePool {
 pub mod reference {
     //! The pre-index sorted-scan pool: observationally equivalent to
     //! [`HarvestResourcePool`](super::HarvestResourcePool) but re-sorting all
-    //! entries on every `get`/`snapshot`. Kept as the criterion-bench
+    //! entries on every `get`/`snapshot`. Kept as the `bench_pool`
     //! baseline and as the oracle for the equivalence proptest — not for
     //! production use.
 

@@ -10,8 +10,8 @@
 //!
 //! It exists to measure what the paper measures in Fig 12(c): the real
 //! wall-clock scheduling overhead per decision (pick-up → node selected),
-//! which must stay under a millisecond even at 50 nodes. The Criterion bench
-//! `sched_decision` and the `exp_fig12_scaling` binary drive it.
+//! which must stay under a millisecond even at 50 nodes. The Fig 12
+//! experiment (`exp fig12`) drives it.
 
 use crate::clock::{Clock, NullClock};
 use crate::coverage::demand_coverage;

@@ -1,8 +1,8 @@
 //! The gateway's request/record body codec: newline-separated `key=value`
 //! pairs, ASCII, order-insensitive.
 //!
-//! Hand-rolled because the workspace builds offline (the serde stub has no
-//! real serializer) — and deliberately trivial: every field is a decimal
+//! Hand-rolled because the workspace builds offline with no serialization
+//! crate — and deliberately trivial: every field is a decimal
 //! integer, so encode/decode is exact and byte-stable, which the three-way
 //! fidelity test leans on. Unknown keys are ignored (forward
 //! compatibility); missing required keys are decode errors, never panics

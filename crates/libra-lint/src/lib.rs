@@ -83,7 +83,7 @@ pub struct LintReport {
 }
 
 impl LintReport {
-    /// Serialize as JSON for `LINT.json` (hand-rolled; no serde offline).
+    /// Serialize as JSON for `LINT.json` (hand-rolled; the workspace has no serialization crate).
     pub fn to_json(&self) -> String {
         let mut s = String::from("{\n");
         s.push_str(&format!("  \"files\": {},\n", self.files));

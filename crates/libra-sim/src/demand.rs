@@ -14,7 +14,7 @@ use crate::time::SimDuration;
 /// *size* (it is visible on the wire) but never the content — Libra treats
 /// content as protected (§4). The `content_seed` deterministically drives the
 /// content-dependent behaviour of input-size-unrelated functions.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, serde::Serialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct InputMeta {
     /// Input size in application-specific units (bytes, pages, vertices...).
     pub size: u64,

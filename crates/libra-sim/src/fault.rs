@@ -19,7 +19,7 @@ use crate::ids::{InvocationId, NodeId};
 use crate::time::{SimDuration, SimTime};
 
 /// One kind of injected fault.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, serde::Serialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FaultKind {
     /// The node dies: resident invocations lose their containers, all loans
     /// touching the node are revoked, and the node stops answering health
@@ -50,7 +50,7 @@ pub enum FaultKind {
 }
 
 /// A fault scheduled at a simulated instant.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, serde::Serialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct FaultEvent {
     /// When the fault fires.
     pub at: SimTime,
@@ -59,7 +59,7 @@ pub struct FaultEvent {
 }
 
 /// A time-sorted schedule of faults to replay against one simulation run.
-#[derive(Clone, Debug, Default, PartialEq, Eq, serde::Serialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct FaultPlan {
     events: Vec<FaultEvent>,
 }

@@ -52,7 +52,7 @@ pub fn mem_usage_model(true_mem_peak_mb: u64, progress_frac: f64) -> u64 {
 }
 
 /// Lifecycle states of an invocation.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, serde::Serialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum InvState {
     /// Arrival event scheduled but not yet fired.
     Pending,
@@ -71,7 +71,7 @@ pub enum InvState {
 }
 
 /// Which estimator produced a prediction (§4).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, serde::Serialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum PredictionPath {
     /// Random-forest models (input size-related functions, §4.3.1).
     Ml,
@@ -85,7 +85,7 @@ pub enum PredictionPath {
 }
 
 /// A platform's estimate of an invocation's demands and duration.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, serde::Serialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Prediction {
     /// Predicted CPU usage peak (millicores).
     pub cpu_millis: u64,
@@ -106,7 +106,7 @@ impl Prediction {
 
 /// Ground-truth observations reported to the platform after completion
 /// (OpenWhisk's `observed_(cpu, mem, duration)` feedback loop, Fig 3).
-#[derive(Clone, Copy, Debug, PartialEq, serde::Serialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Actuals {
     /// Observed CPU usage peak (millicores).
     pub cpu_peak_millis: u64,
@@ -120,7 +120,7 @@ pub struct Actuals {
 
 /// An active loan of harvested resources: `source` lent `res` to `borrower`.
 /// Loans obey the timeliness law — they die with the source (§3.1).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, serde::Serialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Loan {
     /// The over-provisioned invocation the resources were harvested from.
     pub source: InvocationId,
@@ -138,7 +138,7 @@ pub struct Loan {
 /// engine's `stage_start` cursor): every microsecond between arrival and
 /// completion lands in exactly one stage, across any number of OOM restarts
 /// or crash requeues, so `total()` equals end-to-end latency by construction.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, serde::Serialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct StageBreakdown {
     /// Front-end admission (accumulated across requeue re-admissions).
     pub frontend: SimDuration,
@@ -172,7 +172,7 @@ impl StageBreakdown {
 }
 
 /// Outcome category flags for Fig 8's scatter classification.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, serde::Serialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct InvFlags {
     /// Resources were harvested from this invocation at some point.
     pub harvested: bool,

@@ -11,7 +11,7 @@ use crate::time::{SimDuration, SimTime};
 use crate::trace_spans::{ExecTrace, SpanKindStats};
 
 /// Completion record for one invocation.
-#[derive(Clone, Debug, serde::Serialize)]
+#[derive(Clone, Debug)]
 pub struct InvRecord {
     /// Which invocation.
     pub inv: InvocationId,
@@ -70,7 +70,7 @@ impl InvRecord {
 }
 
 /// Fig 8 scatter categories.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, serde::Serialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum InvCategory {
     /// Ran with the user-requested allocation, untouched.
     Default,
@@ -83,7 +83,7 @@ pub enum InvCategory {
 }
 
 /// One cluster-wide utilization sample.
-#[derive(Clone, Copy, Debug, serde::Serialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct UtilSample {
     /// Sample time.
     pub at: SimTime,
@@ -121,7 +121,7 @@ impl UtilSample {
 /// million-invocation traces the record vector alone would pin hundreds of
 /// MB (every record carries a `func_name` String), so the benchmark tier
 /// folds each completion into online aggregates instead.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, serde::Serialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum MetricsMode {
     /// Record everything (the default; matches historical behaviour).
     #[default]
@@ -132,7 +132,7 @@ pub enum MetricsMode {
 
 /// Numerically stable online mean/variance/min/max (Welford's algorithm).
 /// Constant space regardless of how many samples are pushed.
-#[derive(Clone, Copy, Debug, serde::Serialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct OnlineStats {
     count: u64,
     mean: f64,
@@ -212,7 +212,7 @@ pub const SKETCH_CAPACITY: usize = 4096;
 ///
 /// The replacement stream comes from an internal splitmix64 counter, never a
 /// global RNG: pushing the same sequence always yields the same sketch.
-#[derive(Clone, Debug, serde::Serialize)]
+#[derive(Clone, Debug)]
 pub struct QuantileSketch {
     buf: Vec<f64>,
     seen: u64,
@@ -278,7 +278,7 @@ impl QuantileSketch {
 /// engine in *both* metrics modes. In [`MetricsMode::Streaming`] it is the
 /// only completion/utilization output; in `Full` it coexists with the raw
 /// record streams (and must agree with them — the proptests check this).
-#[derive(Clone, Debug, Default, serde::Serialize)]
+#[derive(Clone, Debug, Default)]
 pub struct RunSummary {
     /// Completions folded in (excludes terminal aborts).
     pub completed: u64,
@@ -325,7 +325,7 @@ impl RunSummary {
 }
 
 /// Full result of one simulated run.
-#[derive(Clone, Debug, Default, serde::Serialize)]
+#[derive(Clone, Debug, Default)]
 pub struct RunResult {
     /// Platform under test.
     pub platform: String,

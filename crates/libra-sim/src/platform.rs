@@ -54,7 +54,7 @@ impl Default for PlatformOverheads {
 
 /// End-of-run self-report from a platform (pool idle ledgers, safeguard
 /// counters, component overheads — Figs 10, 14 and §8.10).
-#[derive(Clone, Debug, Default, serde::Serialize)]
+#[derive(Clone, Debug, Default)]
 pub struct PlatformReport {
     /// Σ over pool entries of idle volume × idle time, CPU (core-seconds).
     pub pool_idle_cpu_core_sec: f64,

@@ -30,7 +30,7 @@ pub fn sat_u64(x: f64) -> u64 {
 /// A `(cpu, memory)` pair. All arithmetic saturates at zero so transient
 /// bookkeeping imbalances can never underflow and panic mid-simulation; the
 /// engine separately asserts its conservation invariants.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Default, serde::Serialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct ResourceVec {
     /// CPU in millicores (1000 = 1 core).
     pub cpu_millis: u64,

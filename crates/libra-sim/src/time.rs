@@ -11,11 +11,11 @@ use core::ops::{Add, AddAssign, Sub};
 
 /// An absolute instant on the simulated wall clock, in microseconds since the
 /// start of the simulation.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, serde::Serialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimTime(pub u64);
 
 /// A span of simulated time, in microseconds.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, serde::Serialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimDuration(pub u64);
 
 impl SimTime {

@@ -9,7 +9,7 @@ use crate::ids::FunctionId;
 use crate::time::SimTime;
 
 /// One invocation request in a trace.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, serde::Serialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TraceEntry {
     /// Arrival time at the front end.
     pub at: SimTime,
@@ -20,7 +20,7 @@ pub struct TraceEntry {
 }
 
 /// A full trace.
-#[derive(Clone, Debug, Default, serde::Serialize)]
+#[derive(Clone, Debug, Default)]
 pub struct Trace {
     /// Entries; [`Trace::sorted`] normalizes to arrival order.
     pub entries: Vec<TraceEntry>,

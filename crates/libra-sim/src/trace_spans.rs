@@ -23,7 +23,7 @@ use crate::time::SimTime;
 
 /// Which pipeline stage a [`Span`] covers (the Fig 15 vocabulary, plus the
 /// crash-backoff gap the retry path introduces).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, serde::Serialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum SpanKind {
     /// Front-end admission.
     Frontend,
@@ -69,7 +69,7 @@ impl SpanKind {
 }
 
 /// One contiguous stage segment of one invocation attempt.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, serde::Serialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Span {
     /// Invocation the span belongs to.
     pub inv: u64,
@@ -91,7 +91,7 @@ impl Span {
 }
 
 /// How a harvest loan's lifetime ended.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, serde::Serialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum LoanOutcome {
     /// Timeliness revocation: the source completed (§3.1).
     SourceCompleted,
@@ -122,7 +122,7 @@ impl LoanOutcome {
 }
 
 /// The lifetime of one harvest loan: created → revoked/returned.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, serde::Serialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct LoanSpan {
     /// Invocation the volume was harvested from.
     pub source: u64,
@@ -143,7 +143,7 @@ pub struct LoanSpan {
 }
 
 /// Per-kind latency statistics over a trace's spans.
-#[derive(Clone, Copy, Debug, PartialEq, serde::Serialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct SpanKindStats {
     /// Stage kind.
     pub kind: SpanKind,
@@ -224,7 +224,7 @@ impl SpanSink {
 
 /// A finished execution timeline: every stage segment of every invocation,
 /// plus every loan lifetime, in canonical order.
-#[derive(Clone, Debug, Default, serde::Serialize)]
+#[derive(Clone, Debug, Default)]
 pub struct ExecTrace {
     /// Stage segments, sorted by `(inv, start_us, kind)`.
     pub spans: Vec<Span>,

@@ -50,22 +50,22 @@ grep -q 'data-kind="exec"' "$TRACE_OUT/timeline.html"
 grep -q 'data-kind="scheduler"' "$TRACE_OUT/timeline.html"
 rm -rf "$TRACE_OUT"
 
-echo "==> exp_keepalive smoke (policy x harvester sweep, determinism check)"
+echo "==> exp keepalive smoke (policy x harvester sweep, determinism check)"
 # One repetition of the keep-alive sweep at two thread counts; the CSVs must
 # be byte-identical (order-preserving fan-out) or the sweep is nondeterministic.
 KA_A="$(mktemp -d)"; KA_B="$(mktemp -d)"
 LIBRA_REPS=1 LIBRA_THREADS=1 LIBRA_RESULTS_DIR="$KA_A" \
-  cargo run --release -q -p libra-bench --bin exp_keepalive > /dev/null
+  cargo run --release -q -p libra-bench --bin exp -- keepalive > /dev/null
 LIBRA_REPS=1 LIBRA_THREADS=4 LIBRA_RESULTS_DIR="$KA_B" \
-  cargo run --release -q -p libra-bench --bin exp_keepalive > /dev/null
+  cargo run --release -q -p libra-bench --bin exp -- keepalive > /dev/null
 cmp "$KA_A/exp_keepalive.csv" "$KA_B/exp_keepalive.csv"
 rm -rf "$KA_A" "$KA_B"
 
-echo "==> exp_fig06 reproduces the committed results/fig06*.csv"
+echo "==> exp fig06 reproduces the committed results/fig06*.csv"
 # The Fig 6 CDFs are deterministic; a diff means the simulation drifted from
 # what results/ records (regenerate deliberately, never to get green).
 FIG06_OUT="$(mktemp -d)"
-LIBRA_RESULTS_DIR="$FIG06_OUT" cargo run --release -q -p libra-bench --bin exp_fig06 > /dev/null
+LIBRA_RESULTS_DIR="$FIG06_OUT" cargo run --release -q -p libra-bench --bin exp -- fig06 > /dev/null
 for f in results/fig06*.csv; do cmp "$f" "$FIG06_OUT/$(basename "$f")"; done
 [ "$(ls "$FIG06_OUT" | wc -l)" -eq "$(ls results/fig06*.csv | wc -l)" ]
 rm -rf "$FIG06_OUT"
