@@ -70,4 +70,12 @@ for f in results/fig06*.csv; do cmp "$f" "$FIG06_OUT/$(basename "$f")"; done
 [ "$(ls "$FIG06_OUT" | wc -l)" -eq "$(ls results/fig06*.csv | wc -l)" ]
 rm -rf "$FIG06_OUT"
 
+echo "==> exp fig09_10_11 fig16 reproduce the committed scheduling and weight sweeps"
+# Together these run every NodeSelector (Default, RR, JSQ, MWS, Libra) and
+# the alpha sweep, so they pin simulator placement.
+SWEEP_OUT="$(mktemp -d)"
+LIBRA_RESULTS_DIR="$SWEEP_OUT" cargo run --release -q -p libra-bench --bin exp -- fig09_10_11 fig16 > /dev/null
+for f in fig09_10_11_scheduling_sweep.csv fig16_weight_sweep.csv; do cmp "results/$f" "$SWEEP_OUT/$f"; done
+rm -rf "$SWEEP_OUT"
+
 echo "verify: all green"
