@@ -6,7 +6,7 @@
 //! Libra's function harvesting and acceleration when evaluating all five
 //! algorithms for a fair comparison on scheduling".
 
-use libra_core::scheduler::{NodeSelector, SchedView};
+use libra_core::scheduler::{probe, NodeSelector, SchedView};
 use libra_sim::engine::World;
 use libra_sim::ids::{InvocationId, NodeId};
 
@@ -32,15 +32,10 @@ impl NodeSelector for RoundRobin {
     ) -> Option<NodeId> {
         let need = world.inv(inv).nominal;
         let n = world.num_nodes();
-        for k in 0..n {
-            let i = (self.next + k) % n;
-            let node = NodeId(i as u32);
-            if need.fits_within(&world.free_in_shard(node, shard)) {
-                self.next = (i + 1) % n;
-                return Some(node);
-            }
-        }
-        None
+        let node = |i: usize| NodeId(i as u32);
+        let i = probe(self.next, n, |i| need.fits_within(&world.free_in_shard(node(i), shard)))?;
+        self.next = (i + 1) % n;
+        Some(node(i))
     }
 }
 

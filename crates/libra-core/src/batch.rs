@@ -13,6 +13,7 @@
 
 use crate::coverage::demand_coverage;
 use crate::pool::{PoolEntryStatus, PoolSnapshot};
+use crate::scheduler::coverage_argmax;
 use libra_sim::resources::ResourceVec;
 use libra_sim::time::{SimDuration, SimTime};
 
@@ -93,8 +94,8 @@ fn evaluate(
 }
 
 /// Greedy assignment: requests in order, each taking the max-coverage node
-/// with room (ties to the lower node id) — Libra's production algorithm
-/// applied to a batch.
+/// with room (the scheduler's [`coverage_argmax`], ties to the lower node
+/// id) — Libra's production algorithm applied to a batch.
 pub fn greedy_assign(
     reqs: &[BatchRequest],
     nodes: &[BatchNode],
@@ -106,18 +107,13 @@ pub fn greedy_assign(
     let mut out = Vec::with_capacity(reqs.len());
     let mut total = 0.0;
     for req in reqs {
-        let mut best: Option<(f64, usize)> = None;
-        for (n, f) in free.iter().enumerate() {
-            if !req.nominal.fits_within(f) {
-                continue;
-            }
-            let c = demand_coverage(&snaps[n], req.extra, now, req.duration, alpha);
-            if best.is_none_or(|(bc, _)| c > bc + 1e-12) {
-                best = Some((c, n));
-            }
-        }
+        let best = coverage_argmax(free.len(), |n| {
+            req.nominal
+                .fits_within(&free[n])
+                .then(|| demand_coverage(&snaps[n], req.extra, now, req.duration, alpha))
+        });
         match best {
-            Some((c, n)) => {
+            Some((n, c)) => {
                 free[n] -= req.nominal;
                 total += c;
                 consume(&mut snaps[n], req.extra);

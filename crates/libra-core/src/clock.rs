@@ -30,28 +30,6 @@ impl Clock for NullClock {
     }
 }
 
-/// A manually advanced clock for tests that exercise the overhead counters.
-#[derive(Debug, Default)]
-pub struct ManualClock(std::sync::atomic::AtomicU64);
-
-impl ManualClock {
-    /// New clock starting at zero.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Advance the clock by `micros`.
-    pub fn advance(&self, micros: u64) {
-        self.0.fetch_add(micros, std::sync::atomic::Ordering::SeqCst);
-    }
-}
-
-impl Clock for ManualClock {
-    fn now_micros(&self) -> u64 {
-        self.0.load(std::sync::atomic::Ordering::SeqCst)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -61,14 +39,5 @@ mod tests {
         let c = NullClock;
         assert_eq!(c.now_micros(), 0);
         assert_eq!(c.now_micros(), 0);
-    }
-
-    #[test]
-    fn manual_clock_advances() {
-        let c = ManualClock::new();
-        assert_eq!(c.now_micros(), 0);
-        c.advance(250);
-        c.advance(50);
-        assert_eq!(c.now_micros(), 300);
     }
 }

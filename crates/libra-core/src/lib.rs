@@ -51,7 +51,7 @@ pub mod scheduler;
 pub mod sharding;
 
 pub use batch::{greedy_assign, optimal_assign, Assignment, BatchNode, BatchRequest};
-pub use clock::{Clock, ManualClock, NullClock};
+pub use clock::{Clock, NullClock};
 pub use controlplane::{
     Action, Admission, ControlConfig, ControlCounters, ControlPlane, LendFailure, Observation,
 };

@@ -9,6 +9,9 @@
 //!   node with the maximum *weighted demand coverage* (§6.2) among those
 //!   with room for the user allocation.
 //!
+//! The rule lives here once ([`hash_home`], [`probe`], [`coverage_argmax`]);
+//! the live shards (`sharding`) and the batch greedy (`batch`) call it too.
+//!
 //! Every scheduler shard sees the same per-node pool status, learned from
 //! piggybacked health pings (§6.4) — snapshots are therefore slightly stale,
 //! exactly like production.
@@ -108,12 +111,48 @@ pub trait NodeSelector: Send {
     ) -> Option<NodeId>;
 }
 
-/// Deterministic function-id hash (splitmix).
+/// Deterministic function-id hash (splitmix), the one placement hash.
 fn hash_func(f: u32) -> u64 {
     let mut z = (f as u64).wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
+}
+
+/// The hash home of `func` among node indices `0..n` (0 when `n == 0`).
+pub fn hash_home(func: u32, n: usize) -> usize {
+    (hash_func(func) % n.max(1) as u64) as usize
+}
+
+/// Linear probe over node indices `0..n`: the first index, starting at
+/// `start` and wrapping around, whose node `fits`.
+pub fn probe(start: usize, n: usize, mut fits: impl FnMut(usize) -> bool) -> Option<usize> {
+    (0..n).map(|k| (start + k) % n).find(|&i| fits(i))
+}
+
+/// Greedy argmax over node indices `0..n` of `coverage` (`None`: no room),
+/// with the winning coverage. A node wins only by beating the best so far by
+/// more than 1e-12, so ties go to the lowest index.
+pub fn coverage_argmax(
+    n: usize,
+    mut coverage: impl FnMut(usize) -> Option<f64>,
+) -> Option<(usize, f64)> {
+    let mut best: Option<(usize, f64)> = None;
+    for (i, c) in (0..n).filter_map(|i| Some((i, coverage(i)?))) {
+        if best.is_none_or(|(_, bc)| c > bc + 1e-12) {
+            best = Some((i, c));
+        }
+    }
+    best
+}
+
+fn node_at(i: usize) -> Option<NodeId> {
+    u32::try_from(i).ok().map(NodeId)
+}
+
+/// The node at index `i` if `need` fits its slice in `shard`.
+fn fitting_node(world: &World, shard: usize, need: ResourceVec, i: usize) -> Option<NodeId> {
+    node_at(i).filter(|&node| need.fits_within(&world.free_in_shard(node, shard)))
 }
 
 /// Hash with linear probing: the first node (starting at the function's hash
@@ -123,10 +162,8 @@ fn hash_func(f: u32) -> u64 {
 pub fn hash_probe(world: &World, shard: usize, inv: InvocationId) -> Option<NodeId> {
     let rec = world.inv(inv);
     let n = world.num_nodes();
-    let home = (hash_func(rec.func.0) % n as u64) as usize;
-    (0..n)
-        .filter_map(|k| u32::try_from((home + k) % n).ok().map(NodeId))
-        .find(|&node| rec.nominal.fits_within(&world.free_in_shard(node, shard)))
+    probe(hash_home(rec.func.0, n), n, |i| fitting_node(world, shard, rec.nominal, i).is_some())
+        .and_then(node_at)
 }
 
 /// OpenWhisk's default algorithm as a pluggable selector: pure
@@ -180,7 +217,6 @@ impl NodeSelector for CoverageSelector {
                     debug_assert!(false, "accelerable {inv:?} without prediction");
                     return hash_probe(world, shard, inv);
                 };
-                let dur = pred.duration;
                 let now = world.now();
                 // Lost contact with every pool: stop chasing coverage and
                 // fall back to the non-accelerable placement path, which
@@ -188,29 +224,16 @@ impl NodeSelector for CoverageSelector {
                 if view.all_stale(now) {
                     return hash_probe(world, shard, inv);
                 }
-                let mut best: Option<(f64, NodeId)> = None;
-                for node in world.node_ids() {
-                    if !rec.nominal.fits_within(&world.free_in_shard(node, shard)) {
-                        continue;
-                    }
-                    let empty = PoolSnapshot::new();
+                let empty = PoolSnapshot::new();
+                coverage_argmax(world.num_nodes(), |i| {
+                    let node = fitting_node(world, shard, rec.nominal, i)?;
                     // A stale snapshot describes a pool that may be gone
                     // (crashed node, dropped pings): treat it as empty.
-                    let snap = if view.is_stale(node, now) {
-                        &empty
-                    } else {
-                        view.snapshots.get(&node).unwrap_or(&empty)
-                    };
-                    let c = demand_coverage(snap, extra, now, dur, alpha);
-                    let better = match best {
-                        None => true,
-                        Some((bc, _)) => c > bc + 1e-12,
-                    };
-                    if better {
-                        best = Some((c, node));
-                    }
-                }
-                best.map(|(_, n)| n)
+                    let fresh = view.snapshots.get(&node).filter(|_| !view.is_stale(node, now));
+                    let snap = fresh.unwrap_or(&empty);
+                    Some(demand_coverage(snap, extra, now, pred.duration, alpha))
+                })
+                .and_then(|(i, _)| node_at(i))
             }
         }
     }
@@ -239,22 +262,17 @@ impl NodeSelector for VolumeSelector {
         match classify(world, inv) {
             InvClass::NonAccelerable => hash_probe(world, shard, inv),
             InvClass::Accelerable(_) => {
-                let rec = world.inv(inv);
-                let mut best: Option<(u64, NodeId)> = None;
-                for node in world.node_ids() {
-                    if !rec.nominal.fits_within(&world.free_in_shard(node, shard)) {
-                        continue;
-                    }
+                let need = world.inv(inv).nominal;
+                coverage_argmax(world.num_nodes(), |i| {
+                    let node = fitting_node(world, shard, need, i)?;
                     let vol: u64 = view
                         .snapshots
                         .get(&node)
                         .map(|s| s.iter().map(|e| e.cpu_idle_millis).sum())
                         .unwrap_or(0);
-                    if best.is_none_or(|(bv, _)| vol > bv) {
-                        best = Some((vol, node));
-                    }
-                }
-                best.map(|(_, n)| n)
+                    Some(vol as f64) // exact below 2^53: the margin is a strict `>`
+                })
+                .and_then(|(i, _)| node_at(i))
             }
         }
     }

@@ -8,6 +8,10 @@
 //! synchronization"). Communication is message passing over crossbeam
 //! channels, so the design is data-race-free by construction.
 //!
+//! Each shard decides with [`crate::scheduler`]'s placement rule over its
+//! slice. The live cluster submits every request with `extra = 0` and pushes
+//! no snapshots, so its placement is hash + probe only.
+//!
 //! It exists to measure what the paper measures in Fig 12(c): the real
 //! wall-clock scheduling overhead per decision (pick-up → node selected),
 //! which must stay under a millisecond even at 50 nodes. The Fig 12
@@ -16,6 +20,7 @@
 use crate::clock::{Clock, NullClock};
 use crate::coverage::demand_coverage;
 use crate::pool::PoolSnapshot;
+use crate::scheduler::{coverage_argmax, hash_home, probe};
 use crossbeam::channel::{bounded, unbounded, Sender};
 use libra_sim::resources::ResourceVec;
 use libra_sim::time::{SimDuration, SimTime};
@@ -79,42 +84,18 @@ struct ShardState {
 }
 
 impl ShardState {
-    fn decide(&mut self, req: &ScheduleRequest) -> Option<u32> {
+    fn decide(&self, req: &ScheduleRequest) -> Option<u32> {
         let n = self.free.len();
-        if req.extra.is_zero() {
-            // Non-accelerable: hash home + linear probe.
-            let home = (hash(req.func) % n as u64) as usize;
-            (0..n)
-                .map(|k| (home + k) % n)
-                .find(|&i| req.nominal.fits_within(&self.free[i]))
-                .map(|i| i as u32)
+        let fits = |i: usize| req.nominal.fits_within(&self.free[i]);
+        let node = if req.extra.is_zero() {
+            probe(hash_home(req.func, n), n, fits)
         } else {
-            // Accelerable: greedy max weighted demand coverage.
-            let mut best: Option<(f64, usize)> = None;
-            for i in 0..n {
-                if !req.nominal.fits_within(&self.free[i]) {
-                    continue;
-                }
-                let c = demand_coverage(
-                    &self.snapshots[i],
-                    req.extra,
-                    req.now,
-                    req.duration,
-                    self.alpha,
-                );
-                if best.is_none_or(|(bc, _)| c > bc + 1e-12) {
-                    best = Some((c, i));
-                }
-            }
-            best.map(|(_, i)| i as u32)
-        }
+            let (extra, now, dur) = (req.extra, req.now, req.duration);
+            let cover = |i: usize| demand_coverage(&self.snapshots[i], extra, now, dur, self.alpha);
+            coverage_argmax(n, |i| fits(i).then(|| cover(i))).map(|(i, _)| i)
+        };
+        node.and_then(|i| u32::try_from(i).ok())
     }
-}
-
-fn hash(f: u32) -> u64 {
-    let mut z = (f as u64).wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z ^ (z >> 31)
 }
 
 /// One shard: its inbox, its slice state (shared with the worker thread so

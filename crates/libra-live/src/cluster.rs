@@ -709,12 +709,7 @@ impl LiveCluster {
     /// Observability counters for a metrics endpoint.
     pub fn stats(&self) -> LiveStats {
         let sh = &self.shared;
-        let (mut loans_expired, mut safeguard_releases) = (0, 0);
-        for n in &sh.nodes {
-            let g = n.inner.lock();
-            loans_expired += g.core.counters().loans_expired;
-            safeguard_releases += g.core.safeguard().triggers();
-        }
+        let (loans_expired, safeguard_releases) = self.harvest_counters();
         LiveStats {
             submitted: sh.submitted.load(Ordering::SeqCst),
             completed: sh.done_count.load(Ordering::SeqCst),
@@ -724,6 +719,15 @@ impl LiveCluster {
             safeguard_releases,
             shard_kills: sh.shard_kills.load(Ordering::Relaxed) as u32,
         }
+    }
+
+    /// Expired loans and safeguard releases, summed over the nodes' control
+    /// planes.
+    fn harvest_counters(&self) -> (u64, u64) {
+        self.shared.nodes.iter().fold((0, 0), |(expired, releases), n| {
+            let g = n.inner.lock();
+            (expired + g.core.counters().loans_expired, releases + g.core.safeguard().triggers())
+        })
     }
 
     /// Graceful drain: stop accepting, flush in-flight invocations for up to
@@ -776,14 +780,9 @@ impl LiveCluster {
 
         let mut records: Vec<LiveRecord> = sh.records.lock().clone();
         records.sort_by_key(|r| r.idx);
-        let (mut loans_expired, mut safeguard_releases) = (0, 0);
-        let mut actions_by_node = Vec::with_capacity(sh.nodes.len());
-        for n in &sh.nodes {
-            let g = n.inner.lock();
-            loans_expired += g.core.counters().loans_expired;
-            safeguard_releases += g.core.safeguard().triggers();
-            actions_by_node.push(g.core.action_trace().to_vec());
-        }
+        let (loans_expired, safeguard_releases) = self.harvest_counters();
+        let actions_by_node: Vec<_> =
+            sh.nodes.iter().map(|n| n.inner.lock().core.action_trace().to_vec()).collect();
         let scale = sh.config.time_scale;
         let trace = std::mem::replace(&mut *sh.spans.lock(), SpanSink::new(false)).into_trace();
         LiveResult {
@@ -940,7 +939,8 @@ fn run_invocation(
     }
     let submitted = Instant::now();
 
-    // Admission: retry until a shard slice fits the allocation.
+    // Admission: retry until a shard slice fits the allocation. With `extra`
+    // zero and no snapshots pushed, placement is hash home + linear probe.
     let (shard, node_id) = loop {
         if shared.aborting.load(Ordering::SeqCst) {
             shared.aborted.fetch_add(1, Ordering::SeqCst);
