@@ -120,6 +120,7 @@ impl Platform for Freyr {
             frontend: SimDuration(300),
             profiler: SimDuration(2_000), // DRL inference is pricier than RF
             pool: SimDuration(200),
+            monitor: true,
         }
     }
 

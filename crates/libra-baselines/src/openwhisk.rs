@@ -27,6 +27,8 @@ impl Platform for OpenWhiskDefault {
             frontend: SimDuration(300),
             profiler: SimDuration::ZERO,
             pool: SimDuration::ZERO,
+            // No safeguard: nothing is harvested, so nothing needs watching.
+            monitor: false,
         }
     }
 

@@ -12,8 +12,11 @@
 //! Flags:
 //! * `--smoke`            run the scaled-down CI tier (~20k invocations,
 //!   100 nodes, same per-node load) instead of the full tier;
-//! * `--check <baseline>` compare against a committed `BENCH_sim.json` and
-//!   exit non-zero if invocations/sec fell below half the baseline;
+//! * `--check <baseline>` compare against a committed `BENCH_sim.json` of
+//!   the same tier and exit non-zero if the tiers differ, if the event-queue
+//!   pushes or pops differ from the baseline's at all (the simulation is
+//!   deterministic, so any change means the engine does different work), or
+//!   if invocations/sec fell below half the baseline;
 //! * `--seed <n>`         trace seed (default 42).
 //!
 //! Output path: `BENCH_sim.json` in the working directory, or
@@ -40,14 +43,15 @@ fn peak_rss_mb() -> u64 {
     0
 }
 
-/// Pull a `"key": <number>` field out of a flat JSON file without a parser
-/// (the workspace is dependency-free by policy; the bench JSON is flat).
-fn json_number(text: &str, key: &str) -> Option<f64> {
+/// Pull the raw value of a `"key": <value>` field (quotes stripped) out of
+/// a flat JSON file without a parser (the workspace is dependency-free by
+/// policy; the bench JSON is flat).
+fn json_field<'a>(text: &'a str, key: &str) -> Option<&'a str> {
     let needle = format!("\"{key}\":");
     let start = text.find(&needle)? + needle.len();
-    let rest = text[start..].trim_start();
-    let end = rest.find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e'))?;
-    rest[..end].parse().ok()
+    let rest = &text[start..];
+    let end = rest.find([',', '\n', '}'])?;
+    Some(rest[..end].trim().trim_matches('"'))
 }
 
 fn main() {
@@ -138,18 +142,37 @@ fn main() {
     if let Some(baseline_path) = check {
         let baseline = std::fs::read_to_string(&baseline_path)
             .unwrap_or_else(|e| panic!("read baseline {baseline_path}: {e}"));
-        let base_rate = json_number(&baseline, "inv_per_sec")
-            .unwrap_or_else(|| panic!("no inv_per_sec in {baseline_path}"));
-        // CI smoke runs compare a smoke run against the committed full-tier
-        // baseline: throughput is per-second of wall time, so the figure is
-        // scale-free enough for a coarse 2x regression tripwire.
+        let field = |key: &str| {
+            json_field(&baseline, key).unwrap_or_else(|| panic!("no {key} in {baseline_path}"))
+        };
+        let mut failures = Vec::new();
+        let base_tier = field("tier");
+        if base_tier != tier_name {
+            failures.push(format!("baseline tier {base_tier} is not {tier_name}"));
+        }
+        // Deterministic counters are gated exactly.
+        for (key, got) in [("event_pushes", result.event_pushes), ("event_pops", result.event_pops)]
+        {
+            let want = field(key);
+            println!("exact check: {key} {got} vs baseline {want}");
+            if got.to_string() != want {
+                failures.push(format!("{key} {got} != baseline {want}"));
+            }
+        }
+        // Wall-clock throughput only gets a coarse 2x tripwire.
+        let base_rate: f64 = field("inv_per_sec")
+            .parse()
+            .unwrap_or_else(|e| panic!("inv_per_sec in {baseline_path}: {e}"));
         let floor = base_rate / 2.0;
         println!(
             "regression check: {inv_per_sec:.0} inv/s vs baseline {base_rate:.0} \
              (floor {floor:.0})"
         );
         if inv_per_sec < floor {
-            eprintln!("bench_sim: REGRESSION — throughput below half the committed baseline");
+            failures.push("throughput below half the committed baseline".to_string());
+        }
+        if !failures.is_empty() {
+            eprintln!("bench_sim: REGRESSION — {}", failures.join("; "));
             std::process::exit(1);
         }
     }

@@ -292,6 +292,7 @@ impl<S: NodeSelector> Platform for LibraPlatform<S> {
             // "less than 2 ms" prediction overhead (§8.6)
             profiler: SimDuration(1_500),
             pool: SimDuration(200),
+            monitor: true,
         }
     }
 

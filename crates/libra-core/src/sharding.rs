@@ -74,6 +74,9 @@ enum Job {
         node: u32,
         snap: PoolSnapshot,
     },
+    /// Reply with the free slice per node once every job queued before
+    /// this one has been applied.
+    SliceFree(Sender<Vec<ResourceVec>>),
     Stop,
 }
 
@@ -189,6 +192,9 @@ impl ShardedScheduler {
                     Job::Snapshot { node, snap } => {
                         state.lock().snapshots[node as usize] = snap;
                     }
+                    Job::SliceFree(reply) => {
+                        let _ = reply.send(state.lock().free.clone());
+                    }
                     Job::Stop => break,
                 }
             }
@@ -274,12 +280,20 @@ impl ShardedScheduler {
         rx.recv().unwrap_or(false)
     }
 
-    /// A snapshot of `shard`'s free slice per node, read directly from the
-    /// shared slice ledger (works even while the shard is down). Diagnostic:
-    /// quiescence checks assert the slices return to `capacity / shards`
-    /// after a graceful drain.
+    /// A snapshot of `shard`'s free slice per node. A live shard answers
+    /// through its inbox, behind every release queued before the call, so
+    /// the read is never stale; a killed shard's ledger is read directly.
+    /// Diagnostic: quiescence checks assert the slices return to
+    /// `capacity / shards` after a graceful drain.
     pub fn slice_free(&self, shard: usize) -> Option<Vec<ResourceVec>> {
-        self.slots.get(shard).map(|s| s.state.lock().free.clone())
+        let slot = self.slots.get(shard)?;
+        let (tx, rx) = bounded(1);
+        if slot.tx.lock().send(Job::SliceFree(tx)).is_ok() {
+            if let Ok(free) = rx.recv() {
+                return Some(free);
+            }
+        }
+        Some(slot.state.lock().free.clone())
     }
 
     /// Push a fresh pool snapshot for `node` to every shard (the broadcast
@@ -407,6 +421,21 @@ mod tests {
             sched.schedule_on(0, req(0, 0)).node.is_some(),
             "capacity released during downtime must be schedulable after respawn"
         );
+    }
+
+    #[test]
+    fn slice_free_reads_behind_queued_releases() {
+        // `release` is asynchronous; `slice_free` must still see it.
+        let cap = ResourceVec::from_cores_mb(4, 4096);
+        let sched = ShardedScheduler::spawn(1, 1, cap, 0.9);
+        for i in 0..10_000 {
+            let r = req(0, 0);
+            let node = sched.schedule_on(0, r.clone()).node.unwrap();
+            sched.release(0, node, r.nominal);
+            assert_eq!(sched.slice_free(0), Some(vec![cap]), "stale slice at round {i}");
+        }
+        sched.kill(0);
+        assert_eq!(sched.slice_free(0), Some(vec![cap]), "a killed shard's ledger is still read");
     }
 
     #[test]

@@ -502,6 +502,34 @@ impl World {
         }
     }
 
+    /// The node-wide refresh of an exec start that leaves `node` at a CPU
+    /// scale of 1.0, done without its work. Only the starter `idx` gets its
+    /// rate and a Finish event. Every other resident keeps its rate and its
+    /// queued Finish; it reserves the sequence number its re-push would have
+    /// taken, so its Finish still breaks ties as before (`Simulation::on_finish`
+    /// honours the reservation). Progress integrates in integer
+    /// µs·millicores, so settling the others later gives the same sums; only
+    /// their busy-CPU peak is observed now (at scale 1.0, the plain usage).
+    fn refresh_starter(&mut self, node_idx: usize, idx: usize) {
+        let mut cur = self.nodes[node_idx].resident_head;
+        while let Some(id) = cur {
+            let slot = self.slot(id);
+            cur = self.invs.get(slot).res_next;
+            if self.invs.get(slot).state != InvState::Running {
+                continue;
+            }
+            if slot == idx {
+                self.update_progress(idx);
+                self.reschedule_finish(idx);
+            } else {
+                let seq = self.queue.reserve();
+                let inv = self.invs.get_mut(slot);
+                inv.cpu_peak_obs = inv.cpu_peak_obs.max(inv.cpu_usage_millis());
+                inv.finish_seq = seq;
+            }
+        }
+    }
+
     /// Run an allocation mutation with correct progress accounting: touched
     /// invocations are settled first; if CPU ends up (or was) oversubscribed,
     /// every resident's rate is recomputed, otherwise only the touched ones.
@@ -697,6 +725,10 @@ impl<'a> SimCtx<'a> {
         };
         let node = node.idx();
         let floor_mb = self.w.func(self.w.invs.get(idx).func).mem_floor_mb;
+        debug_assert!(
+            self.w.overheads.monitor || self.w.invs.get(idx).nominal.fits_within(&want),
+            "harvest of {i:?} by a platform that does not monitor: the OOM rule runs on ticks"
+        );
         self.w.with_alloc_change(node, &[idx], |w| {
             let inv = w.invs.get_mut(idx);
             assert!(
@@ -725,6 +757,10 @@ impl<'a> SimCtx<'a> {
         if res.is_zero() || source == borrower {
             return false;
         }
+        debug_assert!(
+            self.w.overheads.monitor,
+            "lend by a platform that does not monitor: the OOM rule runs on ticks"
+        );
         // A retired end means the loan target is gone — same answer the old
         // state checks gave for completed invocations.
         let (Some(si), Some(bi)) = (self.w.try_slot(source), self.w.try_slot(borrower)) else {
@@ -1032,7 +1068,7 @@ impl Simulation {
                 next += 1;
                 continue;
             }
-            let Some((at, ev)) = w.queue.pop() else {
+            let Some((at, seq, ev)) = w.queue.pop() else {
                 // A drained queue with in-flight invocations is a scheduling
                 // deadlock: end the run and let the metrics report the
                 // shortfall instead of aborting a multi-hour sweep.
@@ -1051,7 +1087,7 @@ impl Simulation {
                 w.completed
             );
             w.clock = at;
-            Self::dispatch(w, platform, ev, total);
+            Self::dispatch(w, platform, ev, seq, total);
         }
         #[cfg(debug_assertions)]
         if let Err(why) = w.check_invariants() {
@@ -1095,11 +1131,11 @@ impl Simulation {
         }
     }
 
-    fn dispatch(w: &mut World, platform: &mut dyn Platform, ev: Event, total: usize) {
+    fn dispatch(w: &mut World, platform: &mut dyn Platform, ev: Event, seq: u64, total: usize) {
         match ev {
             Event::DecisionDone { shard } => Self::on_decision_done(w, platform, shard),
             Event::StartExec { inv, attempt } => Self::on_start_exec(w, platform, inv, attempt),
-            Event::Finish { inv, generation } => Self::on_finish(w, platform, inv, generation),
+            Event::Finish { inv, generation } => Self::on_finish(w, platform, inv, generation, seq),
             Event::MonitorTick { inv, attempt } => Self::on_monitor_tick(w, platform, inv, attempt),
             Event::HealthPing(node) => {
                 let now = w.clock;
@@ -1324,17 +1360,23 @@ impl Simulation {
             let mut ctx = SimCtx { w };
             platform.on_start(&mut ctx, id);
         }
-        // Joining the running set changes the node's CPU-share balance when
-        // it is oversubscribed; refresh everyone.
+        // Joining the running set changes the node's CPU-share balance only
+        // when it leaves the node oversubscribed; then refresh everyone.
         let Some(node) = w.invs.get(idx).node else {
             debug_assert!(false, "exec without node for {id:?}");
             return;
         };
         let node = node.idx();
-        w.settle_node(node);
-        w.reschedule_node(node);
-        let at = now + w.config.monitor_interval;
-        w.queue.push(at, Event::MonitorTick { inv: id, attempt });
+        if w.node_cpu_scale(node) < 1.0 {
+            w.settle_node(node);
+            w.reschedule_node(node);
+        } else {
+            w.refresh_starter(node, idx);
+        }
+        if w.overheads.monitor {
+            let at = now + w.config.monitor_interval;
+            w.queue.push(at, Event::MonitorTick { inv: id, attempt });
+        }
     }
 
     fn on_monitor_tick(w: &mut World, platform: &mut dyn Platform, id: InvocationId, attempt: u32) {
@@ -1645,12 +1687,26 @@ impl Simulation {
         Self::kick_shard(w, shard);
     }
 
-    fn on_finish(w: &mut World, platform: &mut dyn Platform, id: InvocationId, generation: u64) {
+    fn on_finish(
+        w: &mut World,
+        platform: &mut dyn Platform,
+        id: InvocationId,
+        generation: u64,
+        seq: u64,
+    ) {
         let Some(idx) = w.try_slot(id) else {
             return; // retired: a stale event outlived its invocation
         };
         if w.invs.get(idx).state != InvState::Running || w.invs.get(idx).finish_gen != generation {
             return; // stale (lazy-cancelled) event
+        }
+        // A refresh reserved a later sequence number for this Finish (see
+        // `World::refresh_starter`): events due now that sort before it run
+        // first, as they would have behind a re-pushed Finish.
+        let due = w.invs.get(idx).finish_seq;
+        if due > seq && w.queue.next_precedes(w.clock, due) {
+            w.queue.push_reserved(w.clock, due, Event::Finish { inv: id, generation });
+            return;
         }
         w.update_progress(idx);
         if w.invs.get(idx).remaining_work() > 0 {
@@ -1858,12 +1914,17 @@ impl Simulation {
 }
 
 /// Convenience: a minimal platform that schedules to the first node with
-/// room and never adjusts allocations. Useful for substrate tests.
+/// room and never adjusts allocations, so it does not monitor. Useful for
+/// substrate tests.
 pub struct NullPlatform;
 
 impl Platform for NullPlatform {
     fn name(&self) -> String {
         "null".into()
+    }
+
+    fn overheads(&self) -> PlatformOverheads {
+        PlatformOverheads { monitor: false, ..PlatformOverheads::default() }
     }
 
     fn select_node(&mut self, world: &World, shard: usize, inv: InvocationId) -> Option<NodeId> {
@@ -2067,6 +2128,38 @@ mod tests {
         assert!(r.flags.oomed);
         assert!(r.flags.harvested);
         assert!(r.speedup < -0.15, "OOM restart must show as degradation, got {}", r.speedup);
+    }
+
+    /// The OOM rule runs on monitor ticks, so a platform that skips them
+    /// must never harvest.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "does not monitor")]
+    fn harvesting_without_monitoring_is_refused() {
+        struct Unmonitored;
+        impl Platform for Unmonitored {
+            fn name(&self) -> String {
+                "unmonitored".into()
+            }
+            fn overheads(&self) -> PlatformOverheads {
+                PlatformOverheads { monitor: false, ..PlatformOverheads::default() }
+            }
+            fn select_node(
+                &mut self,
+                w: &World,
+                shard: usize,
+                inv: InvocationId,
+            ) -> Option<NodeId> {
+                OverHarvester.select_node(w, shard, inv)
+            }
+            fn on_start(&mut self, ctx: &mut SimCtx<'_>, inv: InvocationId) {
+                OverHarvester.on_start(ctx, inv)
+            }
+        }
+        let sim = single_node_sim(vec![spec("f", 2, 1024, one_sec_demand(2, 900))]);
+        let mut t = Trace::new();
+        t.push(SimTime::ZERO, FunctionId(0), InputMeta::new(1, 0));
+        sim.run(&t, &mut Unmonitored);
     }
 
     #[test]

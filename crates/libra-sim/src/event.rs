@@ -1,8 +1,10 @@
 //! The discrete-event queue.
 //!
 //! A binary min-heap keyed by `(time, sequence)`. The monotonically increasing
-//! sequence number breaks ties deterministically in insertion order, which
-//! makes every simulation run bit-reproducible for a given trace and seed.
+//! sequence number breaks ties deterministically in insertion order (or, for
+//! an event pushed under a [reserved](EventQueue::reserve) number, in the
+//! order of the reservation), which makes every simulation run
+//! bit-reproducible for a given trace and seed.
 //!
 //! Completion events must be *rescheduled* whenever a running invocation's
 //! allocation changes (harvest, acceleration, preemptive release, timeliness
@@ -50,7 +52,10 @@ pub enum Event {
     },
     /// Periodic per-invocation resource-usage check (the safeguard's cgroup
     /// monitor window, §5.2). Attempt-stamped like [`Event::StartExec`] so a
-    /// pre-crash monitor loop dies with its attempt.
+    /// pre-crash monitor loop dies with its attempt. Scheduled only for
+    /// platforms whose
+    /// [`overheads().monitor`](crate::platform::PlatformOverheads::monitor)
+    /// is set.
     MonitorTick {
         /// The monitored invocation.
         inv: InvocationId,
@@ -121,6 +126,7 @@ impl Ord for Scheduled {
 pub struct EventQueue {
     heap: BinaryHeap<Scheduled>,
     next_seq: u64,
+    pushes: u64,
     pops: u64,
 }
 
@@ -132,23 +138,43 @@ impl EventQueue {
 
     /// Schedule `event` at absolute time `at`.
     pub fn push(&mut self, at: SimTime, event: Event) {
+        let seq = self.reserve();
+        self.push_reserved(at, seq, event);
+    }
+
+    /// Hand out the next sequence number without scheduling anything, for
+    /// an event that keeps an earlier heap entry but must break ties as if
+    /// it had been pushed now.
+    pub fn reserve(&mut self) -> u64 {
         let seq = self.next_seq;
         self.next_seq += 1;
+        seq
+    }
+
+    /// Schedule `event` at `at` under a sequence number from [`reserve`](Self::reserve).
+    pub fn push_reserved(&mut self, at: SimTime, seq: u64, event: Event) {
+        debug_assert!(seq < self.next_seq, "sequence number {seq} was never reserved");
+        self.pushes += 1;
         self.heap.push(Scheduled { at, seq, event });
     }
 
-    /// Pop the earliest event, if any.
-    pub fn pop(&mut self) -> Option<(SimTime, Event)> {
-        let popped = self.heap.pop().map(|s| (s.at, s.event));
+    /// Pop the earliest event with its sequence number, if any.
+    pub fn pop(&mut self) -> Option<(SimTime, u64, Event)> {
+        let popped = self.heap.pop().map(|s| (s.at, s.seq, s.event));
         self.pops += u64::from(popped.is_some());
         popped
     }
 
+    /// Whether the next event is due at `at` and sorts before `seq`.
+    pub fn next_precedes(&self, at: SimTime, seq: u64) -> bool {
+        self.heap.peek().is_some_and(|s| s.at == at && s.seq < seq)
+    }
+
     /// Lifetime operation counters `(pushes, pops)` — the denominator for
-    /// the benchmark's events/sec figure. Pushes equal the total sequence
-    /// numbers handed out; pops count successful removals only.
+    /// the benchmark's events/sec figure. Both count heap operations only;
+    /// reserved sequence numbers are not pushes.
     pub fn ops(&self) -> (u64, u64) {
-        (self.next_seq, self.pops)
+        (self.pushes, self.pops)
     }
 
     /// Time of the next event without removing it.
@@ -181,7 +207,7 @@ mod tests {
         q.push(SimTime::from_millis(30), Event::Requeue(inv(3)));
         q.push(SimTime::from_millis(10), Event::Requeue(inv(1)));
         q.push(SimTime::from_millis(20), Event::Requeue(inv(2)));
-        let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(t, _)| t.as_micros()).collect();
+        let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(t, ..)| t.as_micros()).collect();
         assert_eq!(order, vec![10_000, 20_000, 30_000]);
         assert_eq!(q.ops(), (3, 3));
     }
@@ -194,7 +220,7 @@ mod tests {
             q.push(t, Event::Requeue(inv(i)));
         }
         let order: Vec<_> = std::iter::from_fn(|| q.pop())
-            .map(|(_, e)| match e {
+            .map(|(.., e)| match e {
                 Event::Requeue(i) => i.0,
                 _ => unreachable!(),
             })
@@ -209,9 +235,28 @@ mod tests {
         q.push(SimTime::from_secs(1), Event::UtilizationSample);
         assert_eq!(q.peek_time(), Some(SimTime::from_secs(1)));
         assert_eq!(q.len(), 1);
-        let (t, e) = q.pop().unwrap();
+        let (t, _, e) = q.pop().unwrap();
         assert_eq!(t, SimTime::from_secs(1));
         assert_eq!(e, Event::UtilizationSample);
         assert!(q.pop().is_none());
+    }
+
+    #[test]
+    fn reserved_sequence_numbers_break_ties_at_reservation_order() {
+        let mut q = EventQueue::new();
+        let t = SimTime::from_millis(5);
+        q.push(t, Event::Requeue(inv(0)));
+        q.push(t, Event::Requeue(inv(1)));
+        let late = q.reserve();
+        q.push(t, Event::Requeue(inv(3)));
+        let (_, first, _) = q.pop().unwrap();
+        assert!(!q.next_precedes(t, first), "nothing queued sorts before the popped event");
+        assert!(q.next_precedes(t, late), "inv 1 was pushed before the reservation");
+        assert!(!q.next_precedes(SimTime::from_millis(4), late), "inv 1 is due later");
+        q.push_reserved(t, late, Event::Requeue(inv(2)));
+        let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(.., e)| e).collect();
+        let want: Vec<_> = (1..4).map(|i| Event::Requeue(inv(i))).collect();
+        assert_eq!(order, want);
+        assert_eq!(q.ops(), (4, 4), "a reservation is not a push");
     }
 }

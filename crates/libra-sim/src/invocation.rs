@@ -232,6 +232,10 @@ pub struct Invocation {
     pub rate_millis: u64,
     /// Generation counter for lazy-cancelled Finish events.
     pub finish_gen: u64,
+    /// Latest event sequence number reserved for this invocation's Finish
+    /// by a refresh that kept its queued event instead of re-pushing it;
+    /// the event breaks ties as if it carried this number.
+    pub finish_seq: u64,
     /// Highest busy-CPU observation (millicores) so far — the `cpu_peak`
     /// a cgroups monitor would have recorded.
     pub cpu_peak_obs: u64,
@@ -306,6 +310,7 @@ impl Invocation {
             last_update: arrival,
             rate_millis: 0,
             finish_gen: 0,
+            finish_seq: 0,
             cpu_peak_obs: 0,
             res_prev: None,
             res_next: None,

@@ -40,6 +40,13 @@ pub struct PlatformOverheads {
     pub profiler: SimDuration,
     /// Harvest-pool bookkeeping cost, charged to every invocation start.
     pub pool: SimDuration,
+    /// Whether the platform watches running invocations: the engine runs
+    /// the per-invocation [`Event::MonitorTick`](crate::event::Event::MonitorTick)
+    /// chain (and with it [`Platform::on_tick`] and the OOM rule) only when
+    /// this is set. A platform that never harvests has nothing to watch and
+    /// returns `false`. A field rather than a trait method, so every wrapper
+    /// that forwards `overheads()` forwards it too.
+    pub monitor: bool,
 }
 
 impl Default for PlatformOverheads {
@@ -48,6 +55,7 @@ impl Default for PlatformOverheads {
             frontend: SimDuration::from_millis(1),
             profiler: SimDuration::ZERO,
             pool: SimDuration::ZERO,
+            monitor: true,
         }
     }
 }
@@ -104,7 +112,8 @@ pub trait Platform {
     fn on_start(&mut self, ctx: &mut SimCtx<'_>, inv: InvocationId) {}
 
     /// Periodic usage observation for a running invocation (the safeguard's
-    /// monitor window, §5.2).
+    /// monitor window, §5.2). Called only when
+    /// [`overheads().monitor`](PlatformOverheads::monitor) is set.
     fn on_tick(&mut self, ctx: &mut SimCtx<'_>, inv: InvocationId) {}
 
     /// The invocation completed; actual usage is reported back (model

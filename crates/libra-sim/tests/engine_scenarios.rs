@@ -232,6 +232,92 @@ fn oversubscription_scales_rates_proportionally() {
 }
 
 #[test]
+fn joining_an_oversubscribed_node_slows_every_resident() {
+    // Two 4-core invocations are harvested to 1 core at start, which admits
+    // a third 4-core and a 2-core one into the freed space; both pairs'
+    // first ticks restore them before the late pair starts. Each late start
+    // then oversubscribes the node (Σ running = 12, then 14 cores on 8), so
+    // the early pair must slow down the moment the others join, not only
+    // when their own allocation next changes.
+    let funcs = vec![spec("f", 4, 1024, demand(4, 128, 6)), spec("g", 2, 512, demand(2, 128, 6))];
+    let sim =
+        Simulation::new(funcs, vec![ResourceVec::from_cores_mb(8, 8192)], SimConfig::default());
+    let mut trace = Trace::new();
+    for (i, f) in [0, 0, 0, 1].into_iter().enumerate() {
+        trace.push(SimTime(i as u64), FunctionId(f), InputMeta::new(1, i as u64));
+    }
+
+    struct HarvestThenRestoreEarly;
+    impl Platform for HarvestThenRestoreEarly {
+        fn name(&self) -> String {
+            "htr-early".into()
+        }
+        fn select_node(
+            &mut self,
+            world: &World,
+            shard: usize,
+            inv: InvocationId,
+        ) -> Option<NodeId> {
+            let need = world.inv(inv).nominal;
+            world.node_ids().find(|&n| need.fits_within(&world.free_in_shard(n, shard)))
+        }
+        fn on_start(&mut self, ctx: &mut SimCtx<'_>, inv: InvocationId) {
+            if inv.0 < 2 {
+                ctx.set_own_grant(inv, ResourceVec::new(1000, 256));
+            }
+        }
+        fn on_tick(&mut self, ctx: &mut SimCtx<'_>, inv: InvocationId) {
+            if inv.0 < 2 && ctx.inv(inv).own_grant.cpu_millis < 4000 {
+                let _ = ctx.preemptive_release(inv);
+            }
+        }
+    }
+    let res = sim.run(&trace, &mut HarvestThenRestoreEarly);
+    assert_eq!(res.records.len(), 4);
+    let start = |i: u32| {
+        let r = res.records.iter().find(|r| r.inv == InvocationId(i)).unwrap();
+        (r.arrival + r.latency).as_micros() - r.exec.as_micros()
+    };
+    assert!(start(2) > start(0) + 300_000, "the late pair starts after the restores");
+    // Unslowed, the early pair would finish ~6.1 s after starting; sharing
+    // 8 cores among 14 allocated stretches that past 8 s.
+    for r in res.records.iter().filter(|r| r.inv.0 < 2) {
+        let exec = r.exec.as_secs_f64();
+        assert!(exec > 8.0, "{:?} ignored the oversubscribed join: exec {exec:.2}s", r.inv);
+    }
+}
+
+#[test]
+fn exec_start_keeps_the_finish_tie_order_of_a_full_refresh() {
+    // A starts at 101.302 ms (1 ms front end, 302 µs decision, 100 ms cold
+    // start) and runs exactly until the 1.0 s utilisation sample, whose event
+    // is queued at 0.5 s, after A's Finish. An exec start on A's node
+    // refreshes its residents, which orders A's Finish behind every event
+    // already queued for the same instant, even when nothing is re-pushed.
+    let a =
+        TrueDemand { cpu_peak_millis: 2000, mem_peak_mb: 128, base_duration: SimDuration(898_698) };
+    let funcs = vec![
+        FunctionSpec::new("a", ResourceVec::from_cores_mb(2, 512), Arc::new(ConstantDemand(a))),
+        spec("b", 2, 512, demand(2, 128, 2)),
+    ];
+    let sample_at_1s = |b_arrives: SimTime| {
+        let config =
+            SimConfig { cold_start: SimDuration::from_millis(100), ..SimConfig::default() };
+        let sim = Simulation::new(funcs.clone(), vec![ResourceVec::from_cores_mb(8, 8192)], config);
+        let mut trace = Trace::new();
+        trace.push(SimTime::ZERO, FunctionId(0), InputMeta::new(1, 0));
+        trace.push(b_arrives, FunctionId(1), InputMeta::new(1, 1));
+        let res = sim.run(&trace, &mut NullPlatform);
+        let a = res.records.iter().find(|r| r.inv == InvocationId(0)).unwrap();
+        assert_eq!((a.arrival + a.latency).as_micros(), 1_000_000, "A must end on the sample");
+        res.util.iter().find(|u| u.at == SimTime::from_secs(1)).unwrap().cpu_used_millis
+    };
+    let (b_after, b_before) = (SimTime::from_millis(1500), SimTime::from_millis(600));
+    assert_eq!(sample_at_1s(b_after), 0, "A's Finish was queued first, so it runs first");
+    assert_eq!(sample_at_1s(b_before), 4000, "B's start moved A's Finish behind the sample");
+}
+
+#[test]
 fn decision_latency_grows_with_cluster_size() {
     let funcs = vec![spec("f", 1, 256, demand(1, 64, 1))];
     let mut results = Vec::new();
